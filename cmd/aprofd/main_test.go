@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"aprof"
+	"aprof/internal/obs"
 	"aprof/internal/trace"
 )
 
@@ -141,6 +143,36 @@ func TestDaemonEndToEnd(t *testing.T) {
 	onDisk, err := os.ReadFile(filepath.Join(resultDir, "e2e.json"))
 	if err != nil || !bytes.Equal(onDisk, want) {
 		t.Fatalf("result-dir profile: %v, matches: %v", err, bytes.Equal(onDisk, want))
+	}
+
+	// The session's pipeline publishes into the daemon's registry, which
+	// /debug/vars serves: the admission controller's decode-latency input
+	// and the operator's view depend on it.
+	resp, err = http.Get("http://" + debugAddr + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vars struct {
+		Obs obs.Snapshot `json:"aprof_obs"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&vars)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding /debug/vars: %v", err)
+	}
+	var delivered uint64
+	for _, sc := range vars.Obs.Scopes {
+		if sc.Name != "profio" {
+			continue
+		}
+		for _, c := range sc.Counters {
+			if c.Name == "events_delivered" {
+				delivered = c.Value
+			}
+		}
+	}
+	if delivered != uint64(len(tr.Events)) {
+		t.Errorf("/debug/vars profio.events_delivered = %d, want %d", delivered, len(tr.Events))
 	}
 
 	// SIGTERM with nothing in flight: a prompt, clean drain.

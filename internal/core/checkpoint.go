@@ -219,8 +219,6 @@ func (p *Profiler) WriteCheckpoint(w io.Writer, stream StreamState) error {
 		Cfg:            fingerprint(p.cfg),
 		Count:          p.count,
 		Symbols:        p.syms.Names(),
-		Threads:        dumpThreadsCkpt(p.threads),
-		Profiles:       dumpProfilesCkpt(p.out.ByKey),
 		Events:         p.out.Events,
 		Renumberings:   p.out.Renumberings,
 		Drops:          p.out.Drops,
@@ -233,21 +231,13 @@ func (p *Profiler) WriteCheckpoint(w io.Writer, stream StreamState) error {
 		data.WTS = dumpTable64(p.wts)
 		data.WKind = dumpTable8(p.wkind)
 	}
-	return encodeCheckpoint(w, &data)
-}
-
-// dumpThreadsCkpt serializes thread states sorted by thread id. Shared by
-// the sequential and sharded checkpoint writers (the sharded engine passes
-// the union of its per-shard thread maps).
-func dumpThreadsCkpt(threads map[trace.ThreadID]*threadState) []ckptThread {
-	tids := make([]trace.ThreadID, 0, len(threads))
-	for id := range threads {
+	tids := make([]trace.ThreadID, 0, len(p.threads))
+	for id := range p.threads {
 		tids = append(tids, id)
 	}
 	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	out := make([]ckptThread, 0, len(tids))
 	for _, id := range tids {
-		t := threads[id]
+		t := p.threads[id]
 		ct := ckptThread{
 			ID:       int32(id),
 			Cost:     t.cost,
@@ -261,16 +251,10 @@ func dumpThreadsCkpt(threads map[trace.ThreadID]*threadState) []ckptThread {
 				First: f.first, IndThread: f.indThread, IndExternal: f.indExternal, RMS: f.rms,
 			})
 		}
-		out = append(out, ct)
+		data.Threads = append(data.Threads, ct)
 	}
-	return out
-}
-
-// dumpProfilesCkpt serializes profiles sorted by (routine, thread). Shared
-// by the sequential and sharded checkpoint writers.
-func dumpProfilesCkpt(byKey map[Key]*Profile) []ckptProfile {
-	keys := make([]Key, 0, len(byKey))
-	for k := range byKey {
+	keys := make([]Key, 0, len(p.out.ByKey))
+	for k := range p.out.ByKey {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -279,10 +263,9 @@ func dumpProfilesCkpt(byKey map[Key]*Profile) []ckptProfile {
 		}
 		return keys[i].Thread < keys[j].Thread
 	})
-	out := make([]ckptProfile, 0, len(keys))
 	for _, k := range keys {
-		prof := byKey[k]
-		out = append(out, ckptProfile{
+		prof := p.out.ByKey[k]
+		data.Profiles = append(data.Profiles, ckptProfile{
 			Routine: uint32(k.Routine), Thread: int32(k.Thread),
 			Calls: prof.Calls, SumRMS: prof.SumRMS, SumDRMS: prof.SumDRMS,
 			FirstReads: prof.FirstReads, InducedThread: prof.InducedThread,
@@ -291,13 +274,9 @@ func dumpProfilesCkpt(byKey map[Key]*Profile) []ckptProfile {
 			DRMS: dumpPoints(prof.DRMSPoints), RMS: dumpPoints(prof.RMSPoints),
 		})
 	}
-	return out
-}
 
-// encodeCheckpoint gob-encodes data and writes the framed APCK document.
-func encodeCheckpoint(w io.Writer, data *checkpointData) error {
 	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(data); err != nil {
+	if err := gob.NewEncoder(&payload).Encode(&data); err != nil {
 		return fmt.Errorf("core: encoding checkpoint: %w", err)
 	}
 	hdr := make([]byte, 0, len(checkpointMagic)+1+8)

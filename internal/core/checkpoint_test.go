@@ -152,3 +152,34 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 		t.Errorf("ResumeProfiler with mismatched config = %v, want refusal", err)
 	}
 }
+
+// TestShardBoundaryAdversarial cuts each crafted boundary trace into two time
+// shards at every split position, checkpointing after the first and resuming
+// into a fresh profiler for the second: a first read whose writer is in the
+// other shard, a same-counter kernel/thread write pair, and stacks crossing
+// the depth limit. Every split must reproduce the uninterrupted profile.
+func TestShardBoundaryAdversarial(t *testing.T) {
+	cases := []struct {
+		name string
+		tr   *trace.Trace
+		cfg  Config
+	}{
+		{"cross-shard-handoff", handoffTrace(), DefaultConfig()},
+		{"same-count-writes", sameCountWritesTrace(), DefaultConfig()},
+		{"deep-stacks", deepStacksTrace(), Config{ThreadInput: true, ExternalInput: true, Limits: Limits{MaxDepth: 3}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := Run(tc.tr, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for split := 1; split < len(tc.tr.Events); split++ {
+				if got := runSplit(t, tc.tr, tc.cfg, split); !profilesEquivalent(got, want) {
+					t.Fatalf("split=%d: diverges\nuninterrupted: %+v\nresumed:       %+v",
+						split, summarize(want), summarize(got))
+				}
+			}
+		})
+	}
+}

@@ -121,30 +121,100 @@ var allConfigs = []struct {
 	{"rms-only", Config{}},
 }
 
+// handoffTrace builds the smallest trace whose profile depends on
+// cross-thread write resolution: thread 1 writes a cell, thread 2 first-reads
+// it, and one read covers a thread-induced and a kernel-induced cell at once.
+func handoffTrace() *trace.Trace {
+	b := trace.NewBuilder()
+	t1, t2 := b.Thread(1), b.Thread(2)
+	t1.Call("writer")
+	t2.Call("reader")
+	t1.Write1(7)     // cross-thread communication target
+	t2.Read1(7)      // induced first-read from thread 1's write
+	t1.SysRead(9, 2) // kernel fill ...
+	t1.Write1(9)     // ... immediately overwritten by the same thread
+	t2.Read(9, 2)    // cell 9: thread-induced; cell 10: kernel-induced
+	t2.Write1(7)     // write back the other way
+	t1.Read1(7)      // induced first-read from thread 2
+	t1.Ret()
+	t2.Ret()
+	return b.Trace()
+}
+
+// sameCountWritesTrace builds a trace where a kernel write and a thread write
+// to the same cell occur under the same global counter value (no counter
+// tick between them): the later one by trace position decides the reader's
+// attribution.
+func sameCountWritesTrace() *trace.Trace {
+	b := trace.NewBuilder()
+	t1, t2 := b.Thread(1), b.Thread(2)
+	t1.Call("producer")
+	t2.Call("consumer")
+	t1.SysRead(5, 1) // kernel writes cell 5
+	t1.Write1(5)     // thread overwrites it; counter unchanged in between
+	t2.Read1(5)      // must be thread-induced, not kernel-induced
+	t1.Ret()
+	t2.Ret()
+	return b.Trace()
+}
+
+// deepStacksTrace builds three threads with six-deep stacks whose frames all
+// write, then read the cell another thread wrote while unwinding. Run with
+// Limits.MaxDepth below 6 it exercises depth capping on every thread.
+func deepStacksTrace() *trace.Trace {
+	b := trace.NewBuilder()
+	for id := trace.ThreadID(1); id <= 3; id++ {
+		tb := b.Thread(id)
+		for d := 0; d < 6; d++ {
+			tb.Call("f")
+			tb.Write1(trace.Addr(id))
+		}
+		for d := 0; d < 6; d++ {
+			tb.Read1(trace.Addr(id%3 + 1))
+			tb.Ret()
+		}
+	}
+	return b.Trace()
+}
+
 // TestDifferentialAgainstNaive cross-checks the timestamping algorithm
-// against the set-based oracle on random traces, for every input-source
-// configuration.
+// against the set-based oracle on random traces and the crafted traces
+// above, for every input-source configuration.
 func TestDifferentialAgainstNaive(t *testing.T) {
+	crafted := []struct {
+		name string
+		tr   *trace.Trace
+	}{
+		{"handoff", handoffTrace()},
+		{"same-count-writes", sameCountWritesTrace()},
+		{"deep-stacks", deepStacksTrace()},
+	}
 	for _, tc := range allConfigs {
 		t.Run(tc.name, func(t *testing.T) {
-			for seed := int64(0); seed < 40; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				tr := randomTrace(rng, 200+rng.Intn(600))
+			check := func(label string, tr *trace.Trace) {
+				t.Helper()
 				if err := tr.Validate(); err != nil {
-					t.Fatalf("seed %d: invalid generated trace: %v", seed, err)
+					t.Fatalf("%s: invalid trace: %v", label, err)
 				}
 				fast, err := Run(tr, tc.cfg)
 				if err != nil {
-					t.Fatalf("seed %d: Run: %v", seed, err)
+					t.Fatalf("%s: Run: %v", label, err)
 				}
 				slow, err := RunNaive(tr, tc.cfg)
 				if err != nil {
-					t.Fatalf("seed %d: RunNaive: %v", seed, err)
+					t.Fatalf("%s: RunNaive: %v", label, err)
 				}
 				fs, ss := summarize(fast), summarize(slow)
 				if !reflect.DeepEqual(fs, ss) {
-					t.Fatalf("seed %d: profiles diverge\nfast: %+v\nnaive: %+v", seed, fs, ss)
+					t.Fatalf("%s: profiles diverge\nfast: %+v\nnaive: %+v", label, fs, ss)
 				}
+			}
+			for seed := int64(0); seed < 40; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				check(fmt.Sprintf("seed %d", seed), randomTrace(rng, 200+rng.Intn(600)))
+			}
+			for _, c := range crafted {
+				check(c.name, c.tr)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -210,6 +211,46 @@ func TestLimitsMaxDepth(t *testing.T) {
 	prof := ps.Get("r", 1)
 	if prof == nil || prof.Calls != 4+1 {
 		t.Fatalf("profile = %+v, want 5 collected activations", prof)
+	}
+
+	// Across threads with shared cells: a frame that is not pushed leaves
+	// its accesses to the deepest pushed frame, so a capped run equals the
+	// oracle on the same trace with the over-limit calls and returns removed.
+	const maxDepth = 3
+	tr := deepStacksTrace()
+	stripped := &trace.Trace{Symbols: tr.Symbols}
+	depths := make(map[trace.ThreadID]int)
+	for _, ev := range tr.Events {
+		switch ev.Kind {
+		case trace.KindCall:
+			depths[ev.Thread]++
+			if depths[ev.Thread] > maxDepth {
+				continue
+			}
+		case trace.KindReturn:
+			depths[ev.Thread]--
+			if depths[ev.Thread] >= maxDepth {
+				continue
+			}
+		}
+		stripped.Events = append(stripped.Events, ev)
+	}
+	full := Config{ThreadInput: true, ExternalInput: true}
+	capped := full
+	capped.Limits.MaxDepth = maxDepth
+	got, err := Run(tr, capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Drops.DepthOverflow != 3*(6-maxDepth) {
+		t.Errorf("deep stacks: DepthOverflow = %d, want %d", got.Drops.DepthOverflow, 3*(6-maxDepth))
+	}
+	want, err := RunNaive(stripped, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs, ws := summarize(got), summarize(want); !reflect.DeepEqual(gs, ws) {
+		t.Errorf("deep stacks: capped run diverges from the stripped oracle\ncapped: %+v\noracle: %+v", gs, ws)
 	}
 }
 

@@ -89,11 +89,6 @@ type Options struct {
 	// as in profio).
 	BatchSize       int
 	CheckpointEvery int
-	// Shards, when > 1, profiles each session on the sharded multi-core
-	// engine (profio.StreamOptions.Shards); output and checkpoints stay
-	// byte-identical to the sequential pipeline. Under sharding, batch
-	// acks coalesce to window granularity (CheckpointEvery batches).
-	Shards int
 	// Replica, when set, switches the daemon to replicated-checkpoint mode:
 	// APRR replication connections are served off the same listen port,
 	// batch acks coalesce to checkpoint boundaries, every boundary's
@@ -191,6 +186,12 @@ type Server struct {
 	// server could not establish its durability invariant (e.g. the
 	// replicated-mode scratch checkpoint dir could not be created).
 	initErr error
+	// scratchDir is the replicated-mode checkpoint dir New created itself
+	// (empty when the operator supplied CheckpointDir). Its name is random
+	// per start, so no restart reads it back: it is removed once the
+	// server has stopped.
+	scratchDir  string
+	scratchOnce sync.Once
 
 	mu        sync.Mutex
 	conns     map[net.Conn]struct{}
@@ -211,6 +212,7 @@ func New(opts Options) *Server {
 		opts.WriteTimeout = DefaultWriteTimeout
 	}
 	var initErr error
+	var scratchDir string
 	if opts.Replica != nil && opts.CheckpointDir == "" {
 		// Replicated mode keeps its durability invariant (checkpoint on
 		// disk before every ack) without any shared directory: sessions
@@ -220,20 +222,21 @@ func New(opts Options) *Server {
 		if err != nil {
 			initErr = fmt.Errorf("server: replicated mode needs a checkpoint dir and none could be created: %w", err)
 		} else {
-			opts.CheckpointDir = dir
+			opts.CheckpointDir, scratchDir = dir, dir
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		opts:      opts,
-		m:         newServerMetrics(opts.Obs),
-		adm:       newAdmission(opts.MaxSessions, opts.Admission, opts.Obs),
-		initErr:   initErr,
-		ctx:       ctx,
-		cancel:    cancel,
-		conns:     make(map[net.Conn]struct{}),
-		activeIDs: make(map[string]struct{}),
-		results:   make(map[string]*SessionResult),
+		opts:       opts,
+		m:          newServerMetrics(opts.Obs),
+		adm:        newAdmission(opts.MaxSessions, opts.Admission, opts.Obs),
+		initErr:    initErr,
+		scratchDir: scratchDir,
+		ctx:        ctx,
+		cancel:     cancel,
+		conns:      make(map[net.Conn]struct{}),
+		activeIDs:  make(map[string]struct{}),
+		results:    make(map[string]*SessionResult),
 	}
 }
 
@@ -476,7 +479,6 @@ func (s *Server) session(conn net.Conn) {
 	opts := profio.StreamOptions{
 		BatchSize:       s.opts.BatchSize,
 		CheckpointEvery: s.opts.CheckpointEvery,
-		Shards:          s.opts.Shards,
 		Lenient:         hs.lenient,
 		CheckpointPath:  ckptPath,
 		FinalCheckpoint: ckptPath != "",
@@ -791,14 +793,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		return nil
 	case <-ctx.Done():
 		s.closeConns()
 		<-done
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	s.removeScratch()
+	return err
 }
 
 // Abort hard-stops the daemon: no drain notifications, connections closed
@@ -818,6 +822,20 @@ func (s *Server) Abort() {
 // Wait blocks until the accept loop and all sessions have finished.
 func (s *Server) Wait() {
 	s.wg.Wait()
+	s.removeScratch()
+}
+
+// removeScratch deletes the checkpoint dir New created for replicated mode.
+// Callers must have waited for every session, the dir's only users.
+func (s *Server) removeScratch() {
+	if s.scratchDir == "" {
+		return
+	}
+	s.scratchOnce.Do(func() {
+		if err := os.RemoveAll(s.scratchDir); err != nil {
+			s.logf("aprofd: removing checkpoint scratch dir: %v", err)
+		}
+	})
 }
 
 func (s *Server) closeConns() {

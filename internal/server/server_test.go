@@ -450,3 +450,73 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	}
 	waitNoLeak(t, before)
 }
+
+// nopReplica is a ReplicaService whose pushes always succeed and that holds
+// nothing, for tests that need replicated mode but not its recovery.
+type nopReplica struct{}
+
+func (nopReplica) ServeConn(conn net.Conn, _ *bufio.Reader) { conn.Close() }
+func (nopReplica) Replicate(string, uint64, []byte) error   { return nil }
+func (nopReplica) Recover(string) (uint64, []byte, error) {
+	return 0, nil, server.ErrNoReplicaCheckpoint
+}
+func (nopReplica) Drop(string) {}
+
+// TestReplicatedScratchDirRemoved: a replicated server without a
+// CheckpointDir checkpoints into a directory it creates itself, and
+// stopping the server — by drain or by abort — removes that directory. A
+// CheckpointDir the operator supplied is never removed.
+func TestReplicatedScratchDirRemoved(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp) // where os.MkdirTemp("", ...) creates the dir
+	enc := testTrace(t, 11, 800)
+	operatorDir := t.TempDir()
+	for _, tc := range []struct {
+		name    string
+		ckptDir string
+		abort   bool
+	}{
+		{"drain", "", false},
+		{"abort", "", true},
+		{"operator-dir", operatorDir, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := server.New(server.Options{
+				Config: core.DefaultConfig(), BatchSize: 16, CheckpointEvery: 4,
+				CheckpointDir: tc.ckptDir, Replica: nopReplica{}, Logf: t.Logf,
+			})
+			if err := s.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := client.Run(context.Background(), client.Options{
+				Addr: s.Addr(), SessionID: "scratch-" + tc.name, Open: opener(enc),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			scratch, _ := filepath.Glob(filepath.Join(tmp, "aprofd-ckpt-*"))
+			wantScratch := 1
+			if tc.ckptDir != "" {
+				wantScratch = 0
+			}
+			if len(scratch) != wantScratch {
+				t.Fatalf("while serving: %d scratch dirs %v, want %d", len(scratch), scratch, wantScratch)
+			}
+			if tc.abort {
+				s.Abort()
+				s.Wait()
+			} else {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				if err := s.Shutdown(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if scratch, _ := filepath.Glob(filepath.Join(tmp, "aprofd-ckpt-*")); len(scratch) != 0 {
+				t.Errorf("after stop: scratch dirs left behind: %v", scratch)
+			}
+			if _, err := os.Stat(operatorDir); err != nil {
+				t.Errorf("operator-supplied checkpoint dir: %v", err)
+			}
+		})
+	}
+}

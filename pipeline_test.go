@@ -101,31 +101,41 @@ func TestPipelinedStreamByteIdentical(t *testing.T) {
 
 // TestRunConcurrentByteIdentical checks that parallel orchestration never
 // changes results: RunConcurrent over N random traces serializes to exactly
-// the bytes of the sequential profile-then-fold path.
+// the bytes of the sequential profile-then-fold path, in job order. The
+// capped config matters: with MaxPointsPerProfile set, bucketing decisions
+// depend on merge order, so only an in-order fold reproduces the bytes.
 func TestRunConcurrentByteIdentical(t *testing.T) {
-	var jobs []Job
-	var runs []*Profiles
-	for _, rc := range randomCases {
-		tr := trace.Random(rc)
-		jobs = append(jobs, TraceJob(tr))
-		ps, err := ProfileTrace(tr, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs = append(runs, ps)
-	}
-	want := profilesBytes(t, MergeRuns(runs...))
-	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := RunConcurrent(context.Background(), jobs, DefaultConfig(), workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !bytes.Equal(profilesBytes(t, got), want) {
-			t.Errorf("workers=%d: concurrent output differs from sequential fold", workers)
-		}
-	}
-	// The parallel tree reduction alone is also byte-identical.
-	if !bytes.Equal(profilesBytes(t, MergeRunsParallel(4, runs...)), want) {
-		t.Error("MergeRunsParallel output differs from MergeRuns")
+	capped := DefaultConfig()
+	capped.MaxPointsPerProfile = 4
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", DefaultConfig()},
+		{"capped-points", capped},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var jobs []Job
+			var runs []*Profiles
+			for _, rc := range randomCases {
+				tr := trace.Random(rc)
+				jobs = append(jobs, TraceJob(tr))
+				ps, err := ProfileTrace(tr, tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs = append(runs, ps)
+			}
+			want := profilesBytes(t, MergeRuns(runs...))
+			for _, workers := range []int{1, 2, 4, 8} {
+				got, err := RunConcurrent(context.Background(), jobs, tc.cfg, workers)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if !bytes.Equal(profilesBytes(t, got), want) {
+					t.Errorf("workers=%d: concurrent output differs from sequential fold", workers)
+				}
+			}
+		})
 	}
 }
