@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 
 	"aprof/internal/trace"
@@ -133,5 +134,60 @@ func TestDeepStacksCorrect(t *testing.T) {
 		if plot[i] != slowPlot[i] {
 			t.Fatalf("plots diverge at %d: %+v vs %+v", i, plot[i], slowPlot[i])
 		}
+	}
+}
+
+// accessWidthTrace moves a fixed number of cells through memory in events
+// of width cells each: every round a producer thread writes a buffer, and a
+// consumer thread reads it back, has the kernel fill an input buffer and
+// reads that too — the shape of the suite analogues' communication and I/O
+// routines. It returns the trace and the number of cells its memory events
+// cover. The buffers start off a leaf edge, so wide events straddle chunks.
+func accessWidthTrace(width int) (*trace.Trace, int) {
+	const (
+		rounds = 4
+		buf    = 1 << 14
+		base   = trace.Addr(3)
+		input  = base + 2*buf
+	)
+	b := trace.NewBuilder()
+	prod, cons := b.Thread(1), b.Thread(2)
+	cells := 0
+	each := func(n int, op func(trace.Addr, uint32)) {
+		for off := 0; off < n; off += width {
+			op(trace.Addr(off), uint32(width))
+			cells += width
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		prod.Call("produce")
+		each(buf, func(off trace.Addr, w uint32) { prod.Write(base+off, w) })
+		prod.Ret()
+		cons.Call("consume")
+		each(buf, func(off trace.Addr, w uint32) { cons.Read(base+off, w) })
+		each(buf/2, func(off trace.Addr, w uint32) { cons.SysRead(input+off, w) })
+		each(buf/2, func(off trace.Addr, w uint32) { cons.Read(input+off, w) })
+		cons.Ret()
+	}
+	return b.Trace(), cells
+}
+
+// BenchmarkProfilerAccessWidth is the access-width half of the per-event
+// cost sweep: the same cells profiled in events of 1 to 4096 cells. ns/cell
+// falling with width is the per-event overhead amortized over each chunk
+// run; width 1 is the VM-style traffic, where that overhead is all there is.
+func BenchmarkProfilerAccessWidth(b *testing.B) {
+	for _, width := range []int{1, 8, 64, 512, 4096} {
+		b.Run(strconv.Itoa(width), func(b *testing.B) {
+			tr, cells := accessWidthTrace(width)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(tr, DefaultConfig()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
+		})
 	}
 }

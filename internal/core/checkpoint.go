@@ -158,12 +158,14 @@ type checkpointData struct {
 	Stream         StreamState
 }
 
+// dumpTable64 and dumpTable8 list a shadow table's non-zero cells in
+// ascending address order (the order ForEach visits them), which keeps the
+// checkpoint bytes a pure function of the profiler state.
 func dumpTable64(t *shadow.Table[uint64]) []ckptCell {
 	var out []ckptCell
 	t.ForEach(func(v uint64) bool { return v == 0 }, func(a trace.Addr, v uint64) {
 		out = append(out, ckptCell{Addr: uint64(a), Val: v})
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 
@@ -172,7 +174,6 @@ func dumpTable8(t *shadow.Table[uint8]) []ckptCell8 {
 	t.ForEach(func(v uint8) bool { return v == 0 }, func(a trace.Addr, v uint8) {
 		out = append(out, ckptCell8{Addr: uint64(a), Val: v})
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 

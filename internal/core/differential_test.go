@@ -14,6 +14,31 @@ import (
 // nested calls and shared addresses — the adversarial input for the
 // differential tests.
 func randomTrace(rng *rand.Rand, events int) *trace.Trace {
+	const addrSpace = 24
+	return randomTraceOver(rng, events, func(rng *rand.Rand) (trace.Addr, uint32) {
+		return trace.Addr(rng.Intn(addrSpace)), uint32(1 + rng.Intn(3))
+	})
+}
+
+// wideRandomTrace is randomTrace over ranges that cross the shadow tables'
+// chunk geometry: each access starts near a 4096-cell leaf edge, a 2^22-cell
+// node edge or the top of the address space (wrapping to 0), is up to 96
+// cells wide, and now and then spans whole leaves.
+func wideRandomTrace(rng *rand.Rand, events int) *trace.Trace {
+	anchors := []trace.Addr{1 << 12, 1 << 22, 0}
+	return randomTraceOver(rng, events, func(rng *rand.Rand) (trace.Addr, uint32) {
+		addr := anchors[rng.Intn(len(anchors))] + trace.Addr(rng.Intn(64)) - 32
+		size := uint32(1 + rng.Intn(96))
+		if rng.Intn(32) == 0 {
+			size = uint32(1 + rng.Intn(2<<12))
+		}
+		return addr, size
+	})
+}
+
+// randomTraceOver generates the random trace, drawing each memory access's
+// range from pick.
+func randomTraceOver(rng *rand.Rand, events int, pick func(*rand.Rand) (trace.Addr, uint32)) *trace.Trace {
 	b := trace.NewBuilder()
 	numThreads := 1 + rng.Intn(4)
 	type tstate struct {
@@ -25,11 +50,9 @@ func randomTrace(rng *rand.Rand, events int) *trace.Trace {
 		threads[i] = &tstate{tb: b.Thread(trace.ThreadID(i + 1))}
 	}
 	routines := []string{"main", "f", "g", "h", "leaf", "worker"}
-	const addrSpace = 24
 	for i := 0; i < events; i++ {
 		t := threads[rng.Intn(numThreads)]
-		addr := trace.Addr(rng.Intn(addrSpace))
-		size := uint32(1 + rng.Intn(3))
+		addr, size := pick(rng)
 		switch op := rng.Intn(10); {
 		case op < 2: // call
 			if t.depth < 6 {
@@ -177,6 +200,61 @@ func deepStacksTrace() *trace.Trace {
 	return b.Trace()
 }
 
+// wideRangeTrace builds accesses that cross the shadow tables' chunk
+// geometry: ranges straddling a 4096-cell leaf edge and a 2^22-cell node
+// edge, a range wrapping past 2^64 to 0, reads of cells whose write-shadow
+// chunk was never materialized, partial cross-thread overlaps, and kernel
+// fills and userToKernel reads spanning chunks. Alternate-cell writes under
+// a nested call make the old timestamps — and so the discharged ancestor —
+// change from one cell to the next within a single read.
+func wideRangeTrace() *trace.Trace {
+	const leaf, node = 1 << 12, 1 << 22
+	top := trace.Addr(1<<64 - 3) // the last three cells of the address space
+	b := trace.NewBuilder()
+	t1, t2 := b.Thread(1), b.Thread(2)
+	t1.Read(leaf-2, 4) // outside any activation: only ts_1 moves
+	t1.Call("main")
+	t2.Call("worker")
+	t1.Read(leaf-8, 16) // no write-shadow chunk exists anywhere yet
+	t1.Call("f")
+	for a := trace.Addr(leaf - 8); a < leaf+8; a += 2 {
+		t1.Write1(a)
+	}
+	t1.Call("g")
+	t1.Read(leaf-10, 20)   // discharges main and f by turns
+	t2.Read(leaf-6, 12)    // partial overlap with t1's writes
+	t2.SysRead(node-5, 10) // kernel fill across the node edge
+	t1.Read(node-8, 6)     // part kernel-filled, part never written
+	t2.Read(node-7, 16)
+	t1.Read(3*leaf, 8) // write chunk absent in a node that exists
+	t2.Write(top, 6)   // wraps past 2^64 to cells 0..2
+	t1.Read(top-1, 6)
+	t1.SysRead(top, 4)
+	t2.SysWrite(top-leaf, leaf+8) // userToKernel read across the wrap
+	t1.Ret()
+	t1.Read(leaf-10, 20)
+	t1.Ret()
+	t2.Write(leaf-4, leaf+8)       // thread write across two leaf edges
+	t1.SysRead(2*leaf-1, 2*leaf+2) // kernel fill over four chunks
+	t1.Read(leaf-10, 3*leaf+20)
+	t2.Read(0, 4*leaf)
+	t1.Ret()
+	t2.Ret()
+	return b.Trace()
+}
+
+// checkSplitsAgainst profiles tr under cfg split at every event through a
+// checkpoint and a resume, comparing each run with want.
+func checkSplitsAgainst(t *testing.T, label string, tr *trace.Trace, cfg Config, want *Profiles) {
+	t.Helper()
+	ws := summarize(want)
+	for split := 1; split < len(tr.Events); split++ {
+		if got := summarize(runSplit(t, tr, cfg, split)); !reflect.DeepEqual(got, ws) {
+			t.Fatalf("%s: split=%d: diverges\nwant: %+v\ngot:  %+v", label, split, ws, got)
+		}
+	}
+}
+
 // TestDifferentialAgainstNaive cross-checks the timestamping algorithm
 // against the set-based oracle on random traces and the crafted traces
 // above, for every input-source configuration.
@@ -216,6 +294,17 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 			for _, c := range crafted {
 				check(c.name, c.tr)
 			}
+			for seed := int64(0); seed < 8; seed++ {
+				rng := rand.New(rand.NewSource(500 + seed))
+				check(fmt.Sprintf("wide seed %d", seed), wideRandomTrace(rng, 150+rng.Intn(150)))
+			}
+			wide := wideRangeTrace()
+			check("wide-range", wide)
+			naive, err := RunNaive(wide, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSplitsAgainst(t, "wide-range", wide, tc.cfg, naive)
 		})
 	}
 }
@@ -246,6 +335,40 @@ func TestDifferentialWithRenumbering(t *testing.T) {
 		fs, ss := summarize(fast), summarize(slow)
 		if !reflect.DeepEqual(fs, ss) {
 			t.Fatalf("seed %d: renumbered run diverges from oracle\nfast: %+v\nnaive: %+v", seed, fs, ss)
+		}
+	}
+	// The wide ranges renumber chunk runs whose cells hold many distinct
+	// timestamps, and a resume must carry the renumbered state. Each limit
+	// is just above the trace's live timestamps.
+	type wideCase struct {
+		name  string
+		tr    *trace.Trace
+		limit uint64
+	}
+	wide := []wideCase{{"wide-range", wideRangeTrace(), 20}}
+	for seed := int64(1); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(2000 + seed))
+		wide = append(wide, wideCase{fmt.Sprintf("wide seed %d", seed), wideRandomTrace(rng, 1000), 128})
+	}
+	for i, w := range wide {
+		cfg := DefaultConfig()
+		cfg.CounterLimit = w.limit
+		fast, err := Run(w.tr, cfg)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", w.name, err)
+		}
+		if fast.Renumberings == 0 {
+			t.Fatalf("%s: expected renumberings with limit %d", w.name, w.limit)
+		}
+		slow, err := RunNaive(w.tr, DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: RunNaive: %v", w.name, err)
+		}
+		if fs, ss := summarize(fast), summarize(slow); !reflect.DeepEqual(fs, ss) {
+			t.Fatalf("%s: renumbered run diverges from oracle\nfast: %+v\nnaive: %+v", w.name, fs, ss)
+		}
+		if i == 0 {
+			checkSplitsAgainst(t, w.name+" renumbered", w.tr, cfg, slow)
 		}
 	}
 }

@@ -33,7 +33,9 @@ const (
 	ObsScopeCore = "core"
 	// ObsScopeShadow carries the shadow-memory metrics: leaf_chunks,
 	// hint_hits and hint_lookups counters (summed over the global write
-	// shadow and every thread's read shadow).
+	// shadow and every thread's read shadow). The handlers walk each memory
+	// event one leaf-chunk run at a time, so a lookup is counted per run
+	// and per table, not per cell.
 	ObsScopeShadow = "shadow"
 )
 

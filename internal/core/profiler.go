@@ -169,9 +169,11 @@ type Profiler struct {
 	wkind *shadow.Table[uint8]
 
 	threads map[trace.ThreadID]*threadState
-	ctx     *contextTable
-	out     *Profiles
-	err     error
+	// lastThread is the thread the previous lookup returned (see thread).
+	lastThread *threadState
+	ctx        *contextTable
+	out        *Profiles
+	err        error
 
 	// finished is set by Finish; later events are AfterFinish faults.
 	finished bool
@@ -276,13 +278,16 @@ func (p *Profiler) HandleEvent(ev *trace.Event) error {
 		return p.onReturn(ev)
 	case trace.KindSwitchThread:
 		return p.tick()
-	case trace.KindRead:
+	case trace.KindRead, trace.KindUserToKernel:
+		// Read memory accesses by the operating system (userToKernel) are
+		// regarded as read operations implicitly performed by the thread,
+		// as if the system call were a normal subroutine (Fig. 9).
 		t := p.thread(ev.Thread)
 		t.cost = ev.Cost
 		if p.sampledOut() {
 			return nil
 		}
-		ev.Cells(func(a trace.Addr) { p.onRead(t, a) })
+		p.onRead(t, ev.Addr, ev.Size)
 		return nil
 	case trace.KindWrite:
 		t := p.thread(ev.Thread)
@@ -290,18 +295,7 @@ func (p *Profiler) HandleEvent(ev *trace.Event) error {
 		if p.sampledOut() {
 			return nil
 		}
-		ev.Cells(func(a trace.Addr) { p.onWrite(t, a) })
-		return nil
-	case trace.KindUserToKernel:
-		// Read memory accesses by the operating system are regarded as read
-		// operations implicitly performed by the thread, as if the system
-		// call were a normal subroutine (Fig. 9).
-		t := p.thread(ev.Thread)
-		t.cost = ev.Cost
-		if p.sampledOut() {
-			return nil
-		}
-		ev.Cells(func(a trace.Addr) { p.onRead(t, a) })
+		p.onWrite(t, ev.Addr, ev.Size)
 		return nil
 	case trace.KindKernelToUser:
 		return p.onKernelToUser(ev)
@@ -395,12 +389,19 @@ func (p *Profiler) Finish() (*Profiles, error) {
 	return p.out, nil
 }
 
+// thread returns id's state, creating it on first use. Consecutive events
+// mostly come from one thread, so the last one returned is checked before
+// the map.
 func (p *Profiler) thread(id trace.ThreadID) *threadState {
+	if t := p.lastThread; t != nil && t.id == id {
+		return t
+	}
 	t, ok := p.threads[id]
 	if !ok {
 		t = &threadState{id: id, ts: shadow.New[uint64]()}
 		p.threads[id] = t
 	}
+	p.lastThread = t
 	return t
 }
 
@@ -519,70 +520,111 @@ func (p *Profiler) popFrame(t *threadState, retCost uint64) {
 	t.stack = t.stack[:top]
 }
 
-// onRead implements the read(ℓ,t) handler of Fig. 8, extended to classify
-// the source of induced first-reads and to maintain the rms in parallel.
-func (p *Profiler) onRead(t *threadState, a trace.Addr) {
-	tsSlot := t.ts.Slot(a)
-	old := *tsSlot
-	*tsSlot = p.count
-
+// onRead implements the read(ℓ,t) handler of Fig. 8 for the n cells from
+// addr, extended to classify the source of induced first-reads and to
+// maintain the rms in parallel. The range is walked one leaf-chunk run at a
+// time, so ts_t, wts and wkind are resolved once per run, not once per cell.
+// Neither the counter nor the stack timestamps change within an event, so a
+// deepest-ancestor search is reused while consecutive cells carry the same
+// old timestamp.
+func (p *Profiler) onRead(t *threadState, addr trace.Addr, n uint32) {
 	if len(t.stack) == 0 {
+		// No pending activation to charge: only ts_t moves.
+		for n > 0 {
+			run := t.ts.Run(addr, n)
+			fill(run, p.count)
+			addr, n = addr+trace.Addr(len(run)), n-uint32(len(run))
+		}
 		return
 	}
 	top := &t.stack[len(t.stack)-1]
-	firstAccess := old < top.ts
-
-	induced := false
-	if p.wts != nil {
-		if w := p.wts.Load(a); old < w {
-			// The location was written, by some thread different from t or
-			// by the kernel, since t's latest access (a write by t itself
-			// would have set ts_t[ℓ] = wts[ℓ]).
-			switch p.wkind.Load(a) {
-			case writerThread:
-				if p.cfg.ThreadInput {
-					induced = true
-					top.indThread++
+	// lastOld is 0 until the first search: 0 is never searched for.
+	var lastOld uint64
+	var anc *frame
+	for n > 0 {
+		ts := t.ts.Run(addr, n)
+		// A nil wts or wkind run is an unmaterialized chunk: every cell
+		// there reads 0, i.e. never written (writerNone). The wkind run is
+		// fetched only once a cell needs it, as most reads are not induced.
+		var wts []uint64
+		var wkind []uint8
+		if p.wts != nil {
+			wts = p.wts.PeekRun(addr, uint32(len(ts)))
+		}
+		now := p.count
+		for i, old := range ts {
+			ts[i] = now
+			induced := false
+			if wts != nil && old < wts[i] {
+				// The location was written, by some thread different from
+				// t or by the kernel, since t's latest access (a write by t
+				// itself would have set ts_t[ℓ] = wts[ℓ]).
+				if wkind == nil {
+					wkind = p.wkind.PeekRun(addr, uint32(len(ts)))
 				}
-			case writerKernel:
-				if p.cfg.ExternalInput {
-					induced = true
-					top.indExternal++
+				kind := writerNone
+				if wkind != nil {
+					kind = wkind[i]
+				}
+				switch kind {
+				case writerThread:
+					if p.cfg.ThreadInput {
+						induced = true
+						top.indThread++
+					}
+				case writerKernel:
+					if p.cfg.ExternalInput {
+						induced = true
+						top.indExternal++
+					}
+				}
+			}
+			if old >= top.ts {
+				continue
+			}
+			// A first access for the topmost activation. It counts toward
+			// the rms (aprof [5]) and, unless induced, is a first read: the
+			// deepest ancestor that had already accessed ℓ is discharged
+			// (Fig. 8, lines 4-10).
+			top.rms++
+			if !induced {
+				top.first++
+			}
+			if old == 0 {
+				continue
+			}
+			if old != lastOld {
+				lastOld, anc = old, nil
+				if j, ok := deepestAncestor(t.stack, old); ok {
+					anc = &t.stack[j]
+				}
+			}
+			if anc != nil {
+				anc.rms--
+				if !induced {
+					anc.first--
 				}
 			}
 		}
-	}
-	if !induced && firstAccess {
-		// First read for the topmost activation; charge it and discharge
-		// the deepest ancestor that had already accessed ℓ (Fig. 8, lines
-		// 4-10).
-		top.first++
-		if old != 0 {
-			if i, ok := deepestAncestor(t.stack, old); ok {
-				t.stack[i].first--
-			}
-		}
-	}
-	if firstAccess {
-		// rms bookkeeping (aprof [5]): a first access that is a read.
-		top.rms++
-		if old != 0 {
-			if i, ok := deepestAncestor(t.stack, old); ok {
-				t.stack[i].rms--
-			}
-		}
+		addr, n = addr+trace.Addr(len(ts)), n-uint32(len(ts))
 	}
 }
 
-// onWrite implements the write(ℓ,t) handler of Fig. 8. Writes mark the cell
-// as produced by the thread: they update the local timestamp (so later local
-// reads are not first accesses) and the global write timestamp (so reads by
-// *other* threads become induced first-reads).
-func (p *Profiler) onWrite(t *threadState, a trace.Addr) {
-	t.ts.Store(a, p.count)
-	if p.wts != nil {
-		p.wts.Store(a, p.count)
-		p.wkind.Store(a, writerThread)
+// onWrite implements the write(ℓ,t) handler of Fig. 8 for the n cells from
+// addr. Writes mark the cells as produced by the thread: they update the
+// local timestamp (so later local reads are not first accesses) and the
+// global write timestamp (so reads by *other* threads become induced
+// first-reads). Each leaf-chunk run is a slice fill.
+func (p *Profiler) onWrite(t *threadState, addr trace.Addr, n uint32) {
+	now := p.count
+	for n > 0 {
+		run := t.ts.Run(addr, n)
+		fill(run, now)
+		if p.wts != nil {
+			fill(p.wts.Run(addr, uint32(len(run))), now)
+			fill(p.wkind.Run(addr, uint32(len(run))), writerThread)
+		}
+		addr, n = addr+trace.Addr(len(run)), n-uint32(len(run))
 	}
 }
 
@@ -601,11 +643,20 @@ func (p *Profiler) onKernelToUser(ev *trace.Event) error {
 	if p.wts == nil || p.sampledOut() {
 		return nil
 	}
-	ev.Cells(func(a trace.Addr) {
-		p.wts.Store(a, p.count)
-		p.wkind.Store(a, writerKernel)
-	})
+	for addr, n := ev.Addr, ev.Size; n > 0; {
+		run := p.wts.Run(addr, n)
+		fill(run, p.count)
+		fill(p.wkind.Run(addr, uint32(len(run))), writerKernel)
+		addr, n = addr+trace.Addr(len(run)), n-uint32(len(run))
+	}
 	return nil
+}
+
+// fill sets every element of s to v.
+func fill[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
+	}
 }
 
 // deepestAncestor returns the maximum index i such that stack[i].ts <= ts.

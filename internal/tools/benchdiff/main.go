@@ -15,19 +15,28 @@
 // trigger regressions (allocation counts are stable; timing is the noisy
 // signal the band exists for).
 //
-// The exit code is 0 even when regressions are found, so the CI step is
-// non-blocking (single-core CI runners are too noisy for a hard gate);
-// -exit-code turns regressions into exit 1 for local enforcement.
+// The baseline records the host it was measured on: the cpu line of the
+// bench header, the GOMAXPROCS suffix of the benchmark names, and the
+// machine's CPU count. A run at a different GOMAXPROCS is reported as
+// incomparable instead of being diffed: the profiler and pipeline numbers
+// move with core count by far more than the band.
+//
+// The exit code is 0 even when regressions are found or the run is
+// incomparable, so the CI step is non-blocking (shared CI runners are too
+// noisy for a hard gate); -exit-code turns either into exit 1 for local
+// enforcement.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,7 +49,21 @@ type Baseline struct {
 	Date         string  `json:"date"`
 	ThresholdPct float64 `json:"threshold_pct"`
 	Command      string  `json:"command"`
-	Benchmarks   []Bench `json:"benchmarks"`
+	Host
+	Benchmarks []Bench `json:"benchmarks"`
+}
+
+// Host identifies the machine a set of results was measured on.
+type Host struct {
+	// CPU is the `cpu:` line of the bench header ("" if absent).
+	CPU string `json:"cpu,omitempty"`
+	// NProc is the machine's CPU count, taken by benchdiff itself when it
+	// writes the baseline (the bench header does not carry it).
+	NProc int `json:"nproc,omitempty"`
+	// GOMAXPROCS is the -N suffix of the benchmark names, 1 when absent.
+	// A baseline without it (0) predates host recording and is comparable
+	// with nothing.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 }
 
 // Bench is one benchmark's baseline numbers.
@@ -52,33 +75,50 @@ type Bench struct {
 }
 
 func main() {
-	var (
-		baselinePath = flag.String("baseline", "BENCH_core.json", "baseline file to compare against (and to write with -update)")
-		update       = flag.Bool("update", false, "write the parsed results as the new baseline instead of comparing")
-		threshold    = flag.Float64("threshold", 0, "ns/op regression threshold in percent (0 = the baseline's own, default 15)")
-		exitCode     = flag.Bool("exit-code", false, "exit 1 when a regression is found (default: report only)")
-	)
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdin, os.Stdout)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+		os.Exit(1)
+	}
+}
 
-	var in io.Reader = os.Stdin
-	if flag.NArg() == 1 {
-		f, err := os.Open(flag.Arg(0))
+// errFailed is run's result when -exit-code asks for exit 1 on a
+// regression or an incomparable run; the report is already printed.
+var errFailed = errors.New("regression or incomparable run (-exit-code)")
+
+// run is the command with its arguments, input and output injected.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	var (
+		baselinePath = fs.String("baseline", "BENCH_core.json", "baseline file to compare against (and to write with -update)")
+		update       = fs.Bool("update", false, "write the parsed results as the new baseline instead of comparing")
+		threshold    = fs.Float64("threshold", 0, "ns/op regression threshold in percent (0 = the baseline's own, default 15)")
+		exitCode     = fs.Bool("exit-code", false, "exit 1 when a regression is found or the run is incomparable (default: report only)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	in := stdin
+	if fs.NArg() == 1 {
+		f, err := os.Open(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		in = f
-	} else if flag.NArg() > 1 {
-		fatal(fmt.Errorf("at most one bench-output file (got %d)", flag.NArg()))
+	} else if fs.NArg() > 1 {
+		return fmt.Errorf("at most one bench-output file (got %d)", fs.NArg())
 	}
 
-	results, err := parseBench(in)
+	results, host, err := parseBench(in)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(results) == 0 {
-		fatal(fmt.Errorf("no benchmark lines found in input"))
+		return fmt.Errorf("no benchmark lines found in input")
 	}
+	host.NProc = runtime.NumCPU()
 
 	if *update {
 		pct := *threshold
@@ -90,18 +130,20 @@ func main() {
 			Date:         time.Now().UTC().Format("2006-01-02"),
 			ThresholdPct: pct,
 			Command:      "make bench-baseline",
+			Host:         host,
 			Benchmarks:   results,
 		}
 		if err := writeBaseline(*baselinePath, base); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("benchdiff: wrote %s (%d benchmarks)\n", *baselinePath, len(results))
-		return
+		fmt.Fprintf(stdout, "benchdiff: wrote %s (%d benchmarks, GOMAXPROCS=%d, nproc=%d, cpu %q)\n",
+			*baselinePath, len(results), host.GOMAXPROCS, host.NProc, host.CPU)
+		return nil
 	}
 
 	base, err := readBaseline(*baselinePath)
 	if err != nil {
-		fatal(fmt.Errorf("%w (run with -update to create the baseline)", err))
+		return fmt.Errorf("%w (run with -update to create the baseline)", err)
 	}
 	pct := *threshold
 	if pct == 0 {
@@ -110,10 +152,27 @@ func main() {
 	if pct == 0 {
 		pct = 15
 	}
-	regressions := diff(os.Stdout, base, results, pct)
-	if regressions > 0 && *exitCode {
-		os.Exit(1)
+	failed := !comparable(stdout, base, host) || diff(stdout, base, results, pct) > 0
+	if failed && *exitCode {
+		return errFailed
 	}
+	return nil
+}
+
+// comparable reports whether results measured on host may be diffed against
+// base. When they may not, it prints why instead of a table. A different
+// cpu model or CPU count at the same GOMAXPROCS is noted but still compared.
+func comparable(w io.Writer, base Baseline, host Host) bool {
+	if base.GOMAXPROCS != host.GOMAXPROCS {
+		fmt.Fprintf(w, "benchdiff: incomparable: baseline %s was measured at GOMAXPROCS=%d (nproc=%d, cpu %q), this run at GOMAXPROCS=%d (cpu %q); re-measure the baseline on this host (make bench-baseline)\n",
+			base.Date, base.GOMAXPROCS, base.NProc, base.CPU, host.GOMAXPROCS, host.CPU)
+		return false
+	}
+	if base.CPU != host.CPU || base.NProc != host.NProc {
+		fmt.Fprintf(w, "benchdiff: note: baseline host nproc=%d cpu %q, this host nproc=%d cpu %q\n",
+			base.NProc, base.CPU, host.NProc, host.CPU)
+	}
+	return true
 }
 
 // benchLine matches one `go test -bench` result line:
@@ -121,28 +180,45 @@ func main() {
 //	BenchmarkName-8   1000   1234 ns/op   56 B/op   7 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.*)$`)
 
-// gomaxprocsSuffix is the trailing -N the bench runner appends to names.
-var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
+// gomaxprocsSuffix is the trailing -N the bench runner appends to names
+// when GOMAXPROCS > 1.
+var gomaxprocsSuffix = regexp.MustCompile(`-(\d+)$`)
 
-// parseBench extracts (name, ns/op, B/op, allocs/op) from bench output.
+// parseBench extracts (name, ns/op, B/op, allocs/op) from bench output,
+// plus the host's cpu line and GOMAXPROCS (NProc is left to the caller).
 // Other per-op metrics (MB/s, custom events/op) are ignored. Duplicate names
 // (e.g. -count>1) keep the minimum ns/op, the standard noise-robust choice.
-func parseBench(r io.Reader) ([]Bench, error) {
+// Results at mixed GOMAXPROCS (e.g. -cpu 1,2) are refused.
+func parseBench(r io.Reader) ([]Bench, Host, error) {
+	var host Host
 	byName := make(map[string]Bench)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
+		line := strings.TrimSpace(sc.Text())
+		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok {
+			host.CPU = strings.TrimSpace(cpu)
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
+		procs := 1
+		if s := gomaxprocsSuffix.FindStringSubmatch(m[1]); s != nil {
+			procs, _ = strconv.Atoi(s[1])
+		}
+		if host.GOMAXPROCS != 0 && procs != host.GOMAXPROCS {
+			return nil, host, fmt.Errorf("benchmark %s: mixed GOMAXPROCS (%d and %d) in one run", m[1], host.GOMAXPROCS, procs)
+		}
+		host.GOMAXPROCS = procs
 		name := gomaxprocsSuffix.ReplaceAllString(m[1], "")
 		b := Bench{Name: name, NsPerOp: -1}
 		fields := strings.Fields(m[2])
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("benchmark %s: bad value %q", name, fields[i])
+				return nil, host, fmt.Errorf("benchmark %s: bad value %q", name, fields[i])
 			}
 			switch fields[i+1] {
 			case "ns/op":
@@ -161,7 +237,7 @@ func parseBench(r io.Reader) ([]Bench, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, host, err
 	}
 	names := make([]string, 0, len(byName))
 	for n := range byName {
@@ -172,7 +248,7 @@ func parseBench(r io.Reader) ([]Bench, error) {
 	for i, n := range names {
 		out[i] = byName[n]
 	}
-	return out, nil
+	return out, host, nil
 }
 
 // diff prints the comparison table and returns the number of regressions.
@@ -235,9 +311,4 @@ func writeBaseline(path string, base Baseline) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(1)
 }
